@@ -10,6 +10,7 @@ confidence interval).  EXPERIMENTS.md's tolerances were picked with this.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Union
@@ -18,7 +19,7 @@ import numpy as np
 
 from repro import obs
 from repro.core.analysis import NoiseAnalysis
-from repro.core.model import NoiseCategory, TraceMeta
+from repro.core.model import NoiseCategory
 
 
 @dataclass(frozen=True)
@@ -67,10 +68,10 @@ class SeedSweep:
     """Analyses of the same workload under different seeds."""
 
     #: One-line execution report (runs, cache hits, wall time) set by
-    #: :meth:`run` when the parallel-runner path was used; None otherwise.
+    #: :meth:`run` from :meth:`repro.exec.SweepPlan.summary`.
     exec_summary: Optional[str] = None
-    #: Machine-readable version of :attr:`exec_summary` (``--summary-json``);
-    #: None when the legacy in-process path ran.
+    #: Machine-readable version of :attr:`exec_summary` (``--summary-json``):
+    #: the driver's :attr:`repro.exec.SweepPlan.last_stats`.
     exec_stats: Optional[dict] = None
 
     def __init__(self, analyses: List[NoiseAnalysis]) -> None:
@@ -99,95 +100,82 @@ class SeedSweep:
         Sequoia benchmark, ``"module:attr"``).  With ``parallel=True`` the
         runs fan out across a process pool; results are bit-identical to
         the serial path because each run is deterministic in its spec.
-        ``cache`` (a :class:`repro.exec.ResultCache`) lets repeat sweeps
+        ``cache`` (a :class:`repro.exec.ShardedStore`) lets repeat sweeps
         skip simulation entirely.
 
-        ``backend`` (a :class:`repro.exec.DispatchBackend`) overrides how
-        specs execute; ``plan`` (a :class:`repro.exec.SweepPlan`) routes
-        execution through the sharded, journaled planner so the sweep can
-        be interrupted and resumed — see ``docs/sweep-orchestration.md``.
-        Both paths produce bit-identical analyses.
+        Every sweep executes through :meth:`repro.exec.SweepPlan.execute`:
+        ``plan`` (a saved :class:`repro.exec.SweepPlan`) journals the
+        campaign so it can be interrupted and resumed — see
+        ``docs/sweep-orchestration.md`` — and without one an in-memory
+        plan is built.  ``backend`` (a :class:`repro.exec.DispatchBackend`)
+        overrides how specs execute.  Every path produces bit-identical
+        analyses.
 
         Factories that are not importable by name (lambdas, closures,
-        bound instances) cannot cross a process boundary; those fall back
-        to in-process execution with a warning.
+        bound instances) cannot cross a process boundary, be cached or be
+        journaled; those run in-process (with a warning when
+        ``parallel``) and ignore ``cache``.
         """
-        from repro.exec import ParallelRunner, RunSpec, dotted_path_of
+        from repro.exec import (
+            FactoryBackend,
+            LocalPoolBackend,
+            RunSpec,
+            SerialBackend,
+            SweepPlan,
+            dotted_path_of,
+        )
 
-        name: Optional[str] = None
+        if max_workers is not None and max_workers < 1:
+            raise ValueError("max_workers must be >= 1")
         if isinstance(workload_factory, str):
             name = workload_factory
-        elif parallel or cache is not None or plan is not None:
+        else:
             name = dotted_path_of(workload_factory)
-            if name is None and parallel:
-                warnings.warn(
-                    "workload factory has no importable path; running the "
-                    "sweep serially in-process (pass a workload name or a "
-                    "module-level factory to parallelize)",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-        if name is None and plan is not None:
-            raise ValueError(
-                "a planned sweep needs a named workload (factories without "
-                "an importable path cannot be journaled)"
-            )
-        if name is not None:
-            specs = [
-                RunSpec.make(name, duration_ns, int(seed), ncpus)
-                for seed in seeds
-            ]
-            runner = ParallelRunner(
-                max_workers=max_workers, cache=cache, parallel=parallel,
-                backend=backend,
-            )
-            with obs.span("sweep", workload=name, runs=len(specs)):
+            if name is None:
                 if plan is not None:
-                    if not plan.matches(specs):
-                        raise ValueError(
-                            "plan does not match this sweep's specs; "
-                            "re-plan or fix the arguments"
-                        )
-                    plan_results = plan.execute(runner, progress=progress)
-                    results = plan.results_for(specs, plan_results)
-                    stats = dict(plan.last_stats)
-                    stats["shards"] = plan.nshards
-                    stats["unique_specs"] = len(plan.specs)
-                    stats["duplicates"] = plan.duplicates
-                else:
-                    results = runner.run(specs, progress=progress)
-                    stats = runner.summary_dict()
-                sweep = SeedSweep([r.analysis() for r in results])
-            how = (
-                f"{min(runner.max_workers, max(1, runner.last_simulated))} "
-                f"workers" if runner.used_processes else "serial"
+                    raise ValueError(
+                        "a planned sweep needs a named workload (factories "
+                        "without an importable path cannot be journaled)"
+                    )
+                if parallel:
+                    warnings.warn(
+                        "workload factory has no importable path; running "
+                        "the sweep serially in-process (pass a workload "
+                        "name or a module-level factory to parallelize)",
+                        RuntimeWarning,
+                        stacklevel=2,
+                    )
+                name = getattr(workload_factory, "__qualname__", "factory")
+                backend = FactoryBackend(workload_factory)
+                cache = None
+        specs = [
+            RunSpec.make(name, duration_ns, int(seed), ncpus)
+            for seed in seeds
+        ]
+        if plan is None:
+            plan = SweepPlan(specs)
+        elif not plan.matches(specs):
+            raise ValueError(
+                "plan does not match this sweep's specs; "
+                "re-plan or fix the arguments"
             )
-            sweep.exec_summary = (
-                f"{int(stats['runs'])} runs: {int(stats['cached'])} cached, "
-                f"{int(stats['simulated'])} simulated ({how}) "
-                f"in {stats['wall_s']:.2f}s wall"
+        if backend is None:
+            workers = min(max_workers or os.cpu_count() or 1,
+                          len(plan.specs))
+            backend = (LocalPoolBackend(workers) if parallel and workers > 1
+                       else SerialBackend())
+        if progress is None and obs.enabled():
+            # Observed long sweeps heartbeat by default (rate-limited).
+            hb = obs.Heartbeat("runner", total=len(plan.specs))
+            progress = lambda d, t, spec, cached, elapsed: hb.tick(d)
+        with obs.span("sweep", workload=name, runs=len(specs)):
+            results = plan.results_for(
+                specs, plan.execute(backend, cache, progress)
             )
-            stats["failures"] = 0
-            if cache is not None:
-                sweep.exec_summary += (
-                    f"; cache {cache.hits} hits, {cache.misses} misses"
-                )
-                stats["cache_hits"] = cache.hits
-                stats["cache_misses"] = cache.misses
-            sweep.exec_stats = stats
-            return sweep
-
-        analyses = []
-        with obs.span("sweep", runs=len(seeds)):
-            for seed in seeds:
-                workload = workload_factory()
-                node, trace = workload.run_traced(
-                    duration_ns, seed=int(seed), ncpus=ncpus
-                )
-                analyses.append(
-                    NoiseAnalysis(trace, meta=TraceMeta.from_node(node))
-                )
-        return SeedSweep(analyses)
+            sweep = SeedSweep([r.analysis() for r in results])
+        sweep.exec_summary = plan.summary()
+        sweep.exec_stats = dict(plan.last_stats)
+        return sweep
 
     # ------------------------------------------------------------------
     def metric(

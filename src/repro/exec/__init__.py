@@ -6,60 +6,54 @@ and — at campaign scale — interruptible (see
 ``docs/sweep-orchestration.md``):
 
 * :class:`RunSpec` — a hashable, serializable description of one run;
-* :class:`SweepPlan` / :class:`Journal` — expand thousands of specs into
-  deterministic content-hash-ordered shards with a JSON-lines journal of
-  per-spec state, so an interrupted campaign resumes without rework;
+* :class:`SweepPlan` / :class:`Journal` — the one run driver: dedup,
+  deterministic content-hash-ordered shards, a JSON-lines journal of
+  per-spec state (so an interrupted campaign resumes without rework),
+  store caching and input-order fan-in into :class:`RunResult`\\ s;
 * :class:`DispatchBackend` — where specs execute:
   :class:`LocalPoolBackend` process fan-out, :class:`SerialBackend`
-  in-process, :class:`FlakyBackend` fault injection for tests; worker
-  death is retried with backoff;
-* :class:`ParallelRunner` — caching, dedup and input-order fan-in over a
-  backend, falling back to bit-identical serial execution;
-* :class:`ResultCache` / :class:`ShardedStore` — hash-prefix-sharded
-  on-disk (trace, meta) store keyed by a content hash of the spec +
-  package version, with size budgets and mtime-LRU eviction.
+  in-process, :class:`FactoryBackend` for unnamed workload factories,
+  :class:`FlakyBackend` fault injection for tests; worker death is
+  retried with backoff, then degrades to bit-identical serial execution;
+* :class:`ShardedStore` — hash-prefix-sharded on-disk (trace, meta)
+  store keyed by a content hash of the spec + package version, with size
+  budgets and mtime-LRU eviction.
 """
 
 from repro.exec.backend import (
     BackendFailure,
     DispatchBackend,
+    FactoryBackend,
     FlakyBackend,
     LocalPoolBackend,
     SerialBackend,
     dispatch_with_retry,
-)
-from repro.exec.cache import (
-    CACHE_ENV,
-    ResultCache,
-    ShardedStore,
-    StoreEntry,
-    default_cache_dir,
+    execute_spec_serialized,
 )
 from repro.exec.journal import Journal
-from repro.exec.plan import PlanShard, SweepPlan
-from repro.exec.runner import (
-    ParallelRunner,
-    RunResult,
-    execute_spec_serialized,
-    execute_spec_streaming,
-)
+from repro.exec.plan import PlanShard, RunResult, SweepPlan
 from repro.exec.spec import (
     RunSpec,
     dotted_path_of,
     register_workload,
     resolve_factory,
 )
+from repro.exec.store import (
+    CACHE_ENV,
+    ShardedStore,
+    StoreEntry,
+    default_cache_dir,
+)
 
 __all__ = [
     "BackendFailure",
     "CACHE_ENV",
     "DispatchBackend",
+    "FactoryBackend",
     "FlakyBackend",
     "Journal",
     "LocalPoolBackend",
-    "ParallelRunner",
     "PlanShard",
-    "ResultCache",
     "RunResult",
     "RunSpec",
     "SerialBackend",
@@ -70,7 +64,6 @@ __all__ = [
     "dispatch_with_retry",
     "dotted_path_of",
     "execute_spec_serialized",
-    "execute_spec_streaming",
     "register_workload",
     "resolve_factory",
 ]

@@ -1,12 +1,12 @@
 """Dispatch backends: where a batch of RunSpecs actually executes.
 
-:class:`~repro.exec.runner.ParallelRunner` used to hard-code two
-execution paths (a ``ProcessPoolExecutor`` and an in-process loop).  This
-module extracts them behind :class:`DispatchBackend`, a two-method
-surface — ``execute(specs)`` yields ``(spec, trace, meta, elapsed)``
-tuples as specs finish — so a remote-worker backend (SSH pool, batch
-scheduler, object store + queue) becomes a drop-in later: everything a
-backend exchanges is already plain bytes.
+:meth:`~repro.exec.plan.SweepPlan.execute`, the one run driver, owns
+caching, journaling and fan-in; *where* specs execute is hidden behind
+:class:`DispatchBackend`, a two-method surface — ``execute(specs)``
+yields ``(spec, trace, meta, elapsed)`` tuples as specs finish — so a
+remote-worker backend (SSH pool, batch scheduler, object store + queue)
+becomes a drop-in later: everything a backend exchanges is already
+plain bytes.
 
 Failure model: a backend that can no longer make progress (worker died,
 pool broke, connection lost) raises :class:`BackendFailure` carrying the
@@ -25,7 +25,16 @@ from __future__ import annotations
 import json
 import time
 from abc import ABC, abstractmethod
-from typing import Iterator, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import (
+    Any,
+    Callable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    TYPE_CHECKING,
+)
 
 from repro import obs
 from repro.exec.spec import RunSpec
@@ -55,6 +64,8 @@ class DispatchBackend(ABC):
     name = "abstract"
     #: True when the last execute() actually crossed a process boundary.
     used_processes = False
+    #: Most worker processes one execute() call runs at once.
+    max_workers = 1
 
     @abstractmethod
     def execute(self, specs: List[RunSpec]) -> Iterator[RunTuple]:
@@ -78,8 +89,58 @@ class SerialBackend(DispatchBackend):
         for spec in specs:
             t0 = time.perf_counter()
             with obs.span("run", workload=spec.workload, seed=spec.seed):
-                trace, meta = spec.execute()
+                trace, meta = self._simulate(spec)
             yield spec, trace, meta, time.perf_counter() - t0
+
+    def _simulate(self, spec: RunSpec) -> Tuple[Any, Any]:
+        return spec.execute()
+
+
+class FactoryBackend(SerialBackend):
+    """In-process execution through a live workload factory.
+
+    Lambdas, closures and bound instances have no importable name, so a
+    spec cannot rebuild their workload (nor cross a process boundary);
+    this backend calls the factory itself for every spec it is given.
+    """
+
+    def __init__(self, factory: Callable[[], Any]) -> None:
+        self.factory = factory
+
+    def _simulate(self, spec: RunSpec) -> Tuple[Any, Any]:
+        from repro.core.model import TraceMeta
+
+        node, trace = self.factory().run_traced(
+            spec.duration_ns, seed=spec.seed, ncpus=spec.ncpus
+        )
+        return trace, TraceMeta.from_node(node)
+
+
+def execute_spec_serialized(
+    spec: RunSpec,
+) -> Tuple[bytes, str, float, Optional[str]]:
+    """Pool worker entry point: simulate one spec, return picklable
+    primitives ``(trace_bytes, meta_json, elapsed_seconds, obs_json)``.
+
+    Module-level so it pickles under every multiprocessing start method.
+    When obs is enabled (workers inherit the mode through
+    :data:`repro.obs.OBS_ENV`), the worker's telemetry for this run is
+    drained into ``obs_json`` for the parent to merge — spans keep the
+    worker's pid, so a merged chrome export shows per-worker tracks.
+    """
+    from repro.obs.sampler import maybe_start_worker_sampler
+
+    if obs.enabled():
+        # A forked worker starts with a copy of the parent's registry;
+        # drop it so the drain below ships back only this run's telemetry.
+        obs.drain_snapshot()
+    maybe_start_worker_sampler()
+    t0 = time.perf_counter()
+    with obs.span("run", workload=spec.workload, seed=spec.seed):
+        trace, meta = spec.execute()
+    elapsed = time.perf_counter() - t0
+    obs_json = json.dumps(obs.drain_snapshot()) if obs.enabled() else None
+    return trace.to_bytes(), meta.to_json(), elapsed, obs_json
 
 
 class LocalPoolBackend(DispatchBackend):
@@ -103,7 +164,6 @@ class LocalPoolBackend(DispatchBackend):
 
     def execute(self, specs: List[RunSpec]) -> Iterator[RunTuple]:
         from repro.core.model import TraceMeta
-        from repro.exec.runner import execute_spec_serialized
         from repro.tracing.ctf import Trace
 
         try:
@@ -161,6 +221,7 @@ class FlakyBackend(DispatchBackend):
         if failures < 0 or survive < 0:
             raise ValueError("failures and survive must be >= 0")
         self.inner = inner or SerialBackend()
+        self.max_workers = self.inner.max_workers
         self.failures_left = failures
         self.survive = survive
         self.injected = 0

@@ -1,4 +1,4 @@
-"""Sweep planning: expand thousands of runs into shards that survive ^C.
+"""Sweep planning and execution: the one run driver.
 
 A noise study at the paper's scale is not eight seeds on one box — it is
 thousands of (config x seed x app) runs that take hours and *will* be
@@ -17,9 +17,15 @@ at any instant and resumed without rework:
   :class:`~repro.exec.journal.Journal` next to the plan, so a resumed
   invocation knows exactly what completed;
 * **resume** — re-running the same plan re-dispatches only what the
-  journal does not show ``done``; completed work is served from the
-  result store as cache hits, making the re-run's reuse ratio the
-  interruption-survival metric CI gates on.
+  result store does not hold; completed work is served from the store as
+  cache hits, making the re-run's reuse ratio the interruption-survival
+  metric CI gates on.
+
+:meth:`SweepPlan.execute` is the only driver over a
+:class:`~repro.exec.backend.DispatchBackend`: seed sweeps, ``lttng-noise
+sweep`` and the service's cold runs all go through it, so caching, retry,
+journaling and the ``runner.*`` / ``plan.*`` telemetry live in one place.
+A plan without a directory is the in-memory case: it skips the journal.
 
 The plan persists as ``plan.json`` + ``journal.jsonl`` in a directory of
 the caller's choice (``lttng-noise sweep --plan DIR``).
@@ -29,6 +35,7 @@ from __future__ import annotations
 
 import json
 import os
+import time
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -43,19 +50,37 @@ from typing import (
 
 import repro
 from repro import obs
+from repro.exec.backend import DispatchBackend, dispatch_with_retry
 from repro.exec.journal import Journal
 from repro.exec.spec import RunSpec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.exec.runner import ParallelRunner, RunResult
+    from repro.core.analysis import NoiseAnalysis
+    from repro.exec.store import ShardedStore
 
 PLAN_FILENAME = "plan.json"
 JOURNAL_FILENAME = "journal.jsonl"
 PLAN_FORMAT = 1
 
-#: progress callback, same shape the runner uses:
-#: (done, total, spec, cached, elapsed_seconds) — done/total are plan-wide.
-PlanProgressFn = Callable[[int, int, RunSpec, bool, float], None]
+#: progress callback: (done, total, spec, cached, elapsed_seconds) —
+#: done/total count the plan's unique specs.
+ProgressFn = Callable[[int, int, RunSpec, bool, float], None]
+
+
+@dataclass
+class RunResult:
+    """One completed run: the spec plus its trace, meta and provenance."""
+
+    spec: RunSpec
+    trace: Any
+    meta: Any
+    cached: bool
+    elapsed_s: float
+
+    def analysis(self) -> "NoiseAnalysis":
+        from repro.core.analysis import NoiseAnalysis
+
+        return NoiseAnalysis(self.trace, meta=self.meta)
 
 
 @dataclass(frozen=True)
@@ -95,11 +120,9 @@ class SweepPlan:
             spec: spec.cache_token(self.version) for spec in self.specs
         }
         self.shards: Tuple[PlanShard, ...] = self._build_shards()
-        #: Campaign-wide totals accumulated across shards by :meth:`execute`.
-        self.last_stats: Dict[str, float] = {
-            "runs": 0, "cached": 0, "simulated": 0,
-            "wall_s": 0.0, "busy_s": 0.0,
-        }
+        #: What the last :meth:`execute` did, campaign-wide: the one
+        #: stats schema (``--summary-json``, ``SeedSweep.exec_stats``).
+        self.last_stats: Dict[str, Any] = {}
 
     # ------------------------------------------------------------------
     # Construction details
@@ -227,17 +250,20 @@ class SweepPlan:
     # ------------------------------------------------------------------
     def execute(
         self,
-        runner: "ParallelRunner",
-        progress: Optional[PlanProgressFn] = None,
-    ) -> List["RunResult"]:
+        backend: DispatchBackend,
+        store: Optional["ShardedStore"] = None,
+        progress: Optional[ProgressFn] = None,
+    ) -> List[RunResult]:
         """Run the plan shard by shard; results in fan-in (spec) order.
 
-        Every spec goes through the runner — already-``done`` work is
-        served by the runner's result store as cache hits, which is what
-        makes an interrupted campaign resume without rework.  Transitions
-        are journaled per spec; on an ordinary exception unfinished specs
-        are marked ``failed``, on KeyboardInterrupt they stay ``running``
-        so a later ``--resume`` retries them.
+        Per shard, specs the ``store`` already holds are served as cache
+        hits — which is what makes an interrupted campaign resume without
+        rework — and the rest go through :func:`dispatch_with_retry` on
+        ``backend`` (worker death is retried, then degrades to the
+        bit-identical serial path) and are put into the store.
+        Transitions are journaled per spec; on an ordinary exception
+        unfinished specs are marked ``failed``, on KeyboardInterrupt they
+        stay ``running`` so a later ``--resume`` retries them.
         """
         journal = self.journal() if self.plan_dir is not None else None
         prior = journal.replay() if journal is not None else {}
@@ -251,69 +277,67 @@ class SweepPlan:
             obs.gauge("plan.shards").set(self.nshards)
             obs.gauge("plan.total").set(len(self.specs))
             obs.gauge("plan.done").set(already_done)
-        by_spec: Dict[RunSpec, "RunResult"] = {}
-        done_count = 0
+        wall0 = time.perf_counter()
+        stats = self.last_stats = {
+            "runs": 0, "cached": 0, "simulated": 0, "failures": 0,
+            "wall_s": 0.0, "busy_s": 0.0, "workers": 1,
+            "backend": backend.describe(), "used_processes": False,
+            "shards": self.nshards, "unique_specs": len(self.specs),
+            "duplicates": self.duplicates,
+        }
+        by_spec: Dict[RunSpec, RunResult] = {}
         total = len(self.specs)
-        self.last_stats = {
-            "runs": 0, "cached": 0, "simulated": 0,
-            "wall_s": 0.0, "busy_s": 0.0,
-        }  # reset per execute(); shards accumulate below
+
+        def finish(result: RunResult) -> None:
+            by_spec[result.spec] = result
+            if journal is not None:
+                journal.record(
+                    self._tokens[result.spec], "done",
+                    cached=result.cached,
+                    elapsed_s=round(result.elapsed_s, 6),
+                )
+            if obs.enabled():
+                obs.gauge("plan.done").set(len(by_spec))
+                obs.gauge("runner.done").set(len(by_spec))
+            if progress is not None:
+                progress(len(by_spec), total, result.spec, result.cached,
+                         result.elapsed_s)
 
         with journal if journal is not None else _NullContext():
             for shard in self.shards:
                 if not shard.specs:
                     continue
+                started = [
+                    spec for spec in shard.specs
+                    if prior.get(self._tokens[spec]) != "done"
+                ]
                 if journal is not None:
-                    for spec in shard.specs:
-                        if prior.get(self._tokens[spec]) != "done":
-                            journal.record(
-                                self._tokens[spec], "running",
-                                shard=shard.index,
-                            )
-
-                def on_result(done: int, _total: int, spec: RunSpec,
-                              cached: bool, elapsed: float) -> None:
-                    nonlocal done_count
-                    done_count += 1
-                    by_spec_marker = self._tokens[spec]
-                    if journal is not None:
-                        journal.record(
-                            by_spec_marker, "done",
-                            cached=cached,
-                            elapsed_s=round(elapsed, 6),
-                        )
-                    if obs.enabled():
-                        obs.gauge("plan.done").set(done_count)
-                    if progress is not None:
-                        progress(done_count, total, spec, cached, elapsed)
-
+                    for spec in started:
+                        journal.record(self._tokens[spec], "running",
+                                       shard=shard.index)
                 try:
                     with obs.span("shard", index=shard.index,
                                   specs=len(shard.specs)):
-                        results = runner.run(
-                            list(shard.specs), progress=on_result
-                        )
+                        self._execute_shard(shard, backend, store, finish)
                 except KeyboardInterrupt:
                     # Interrupted, not failed: journal keeps `running`
                     # entries so --resume retries exactly these.
                     raise
                 except Exception as exc:
+                    failed = [s for s in started if s not in by_spec]
+                    stats["failures"] += len(failed)
                     if journal is not None:
-                        done_now = journal.replay()
-                        for spec in shard.specs:
-                            token = self._tokens[spec]
-                            if done_now.get(token) == "running":
-                                journal.record(
-                                    token, "failed", error=str(exc)[:200],
-                                )
+                        for spec in failed:
+                            journal.record(self._tokens[spec], "failed",
+                                           error=str(exc)[:200])
                     raise
-                self.last_stats["runs"] += runner.last_total
-                self.last_stats["cached"] += runner.last_cached
-                self.last_stats["simulated"] += runner.last_simulated
-                self.last_stats["wall_s"] += runner.last_wall_s
-                self.last_stats["busy_s"] += runner.last_busy_s
-                for result in results:
-                    by_spec[result.spec] = result
+        stats["wall_s"] = round(time.perf_counter() - wall0, 6)
+        stats["busy_s"] = round(stats["busy_s"], 6)
+        if store is not None:
+            stats["cache_hits"] = store.hits
+            stats["cache_misses"] = store.misses
+        if obs.enabled():
+            self._report_counters()
         missing = [s for s in self.specs if s not in by_spec]
         if missing:
             raise RuntimeError(
@@ -322,9 +346,73 @@ class SweepPlan:
             )
         return [by_spec[spec] for spec in self.specs]
 
+    def _execute_shard(
+        self,
+        shard: PlanShard,
+        backend: DispatchBackend,
+        store: Optional["ShardedStore"],
+        finish: Callable[[RunResult], None],
+    ) -> None:
+        """Store pass, then dispatch the misses and store what returns."""
+        stats = self.last_stats
+        stats["runs"] += len(shard.specs)
+        pending: List[RunSpec] = []
+        for spec in shard.specs:
+            hit = store.get(spec) if store is not None else None
+            if hit is None:
+                pending.append(spec)
+            else:
+                stats["cached"] += 1
+                finish(RunResult(spec, hit[0], hit[1], True, 0.0))
+        stats["simulated"] += len(pending)
+        if not pending:
+            return
+        for spec, trace, meta, elapsed in dispatch_with_retry(
+            backend, pending
+        ):
+            if store is not None:
+                store.put(spec, trace, meta)
+            stats["busy_s"] += elapsed
+            finish(RunResult(spec, trace, meta, False, elapsed))
+        if backend.used_processes:
+            stats["used_processes"] = True
+            stats["workers"] = max(
+                stats["workers"], min(backend.max_workers, len(pending))
+            )
+
+    def _report_counters(self) -> None:
+        stats = self.last_stats
+        obs.counter("runner.runs").inc(stats["runs"])
+        obs.counter("runner.cached").inc(stats["cached"])
+        obs.counter("runner.simulated").inc(stats["simulated"])
+        obs.gauge("runner.workers").set(stats["workers"])
+        if stats["wall_s"] > 0 and stats["simulated"]:
+            obs.gauge("runner.worker_utilization").set(min(
+                1.0, stats["busy_s"] / (stats["wall_s"] * stats["workers"])
+            ))
+
+    def summary(self) -> str:
+        """One line describing the last :meth:`execute`."""
+        stats = self.last_stats
+        how = (
+            f"{stats['workers']} workers" if stats["used_processes"]
+            else "serial"
+        )
+        line = (
+            f"{stats['runs']} runs: {stats['cached']} cached, "
+            f"{stats['simulated']} simulated ({how}) "
+            f"in {stats['wall_s']:.2f}s wall"
+        )
+        if "cache_hits" in stats:
+            line += (
+                f"; cache {stats['cache_hits']} hits, "
+                f"{stats['cache_misses']} misses"
+            )
+        return line
+
     def results_for(
-        self, inputs: Sequence[RunSpec], results: Sequence["RunResult"]
-    ) -> List["RunResult"]:
+        self, inputs: Sequence[RunSpec], results: Sequence[RunResult]
+    ) -> List[RunResult]:
         """Fan plan results back onto a (possibly duplicated) input list."""
         by_spec = {result.spec: result for result in results}
         return [by_spec[spec] for spec in inputs]

@@ -19,9 +19,13 @@ import hashlib
 import importlib
 import json
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple, TYPE_CHECKING
 
 import repro
+from repro import obs
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.stream.analysis import StreamingAnalysis
 
 #: Explicitly registered factories (name -> callable(**kwargs) -> Workload).
 _REGISTRY: Dict[str, Callable[..., "object"]] = {}
@@ -180,6 +184,28 @@ class RunSpec:
             self.duration_ns, seed=self.seed, ncpus=self.ncpus
         )
         return trace, TraceMeta.from_node(node)
+
+    def execute_streaming(self, **stream_kwargs: Any) -> "StreamingAnalysis":
+        """Simulate this run analyze-while-simulating: packets are analyzed
+        as the collection daemon drains them and no full trace is
+        assembled, so peak memory stays bounded by the analysis window
+        rather than the trace length.  Returns the finished
+        :class:`~repro.stream.analysis.StreamingAnalysis`;
+        ``stream_kwargs`` (``window_ns``, ``quanta``, ``on_chunk``, ...)
+        are forwarded to it.
+        """
+        workload: Any = self.build_workload()
+        with obs.span("run", workload=self.workload, seed=self.seed,
+                      stream=True):
+            streamed: Tuple[Any, "StreamingAnalysis"] = (
+                workload.run_streaming(
+                    self.duration_ns,
+                    seed=self.seed,
+                    ncpus=self.ncpus,
+                    **stream_kwargs,
+                )
+            )
+        return streamed[1]
 
     def describe(self) -> str:
         return (

@@ -1,7 +1,7 @@
 """Sharded on-disk blob stores keyed by content hashes.
 
-Generalizes the flat ``ResultCache`` directory into a store that scales to
-10k-run sweep campaigns:
+Generalizes a flat one-file-per-run result directory into a store that
+scales to 10k-run sweep campaigns:
 
 * **content-hash-prefix sharding** — every entry lives under a
   subdirectory named by the first ``prefix_len`` hex digits of its token,

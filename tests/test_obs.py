@@ -384,8 +384,8 @@ _INSTRUMENTED = (
     "repro.core.nesting",
     "repro.core.classify",
     "repro.core.analysis",
+    "repro.exec.spec",
     "repro.exec.store",
-    "repro.exec.runner",
     "repro.exec.backend",
     "repro.exec.plan",
     "repro.exec.journal",
@@ -411,24 +411,28 @@ class TestDisabledOverhead:
         same pipeline with every obs call stubbed out entirely."""
         import importlib
 
-        def best_of(n):
-            best = float("inf")
-            for _ in range(n):
-                t0 = time.perf_counter()
-                _pipeline_once()
-                best = min(best, time.perf_counter() - t0)
-            return best
+        def timed():
+            t0 = time.perf_counter()
+            _pipeline_once()
+            return time.perf_counter() - t0
+
+        def use(obs_module):
+            for modname in _INSTRUMENTED:
+                monkeypatch.setattr(
+                    importlib.import_module(modname), "obs", obs_module
+                )
 
         assert not obs.enabled()
         _pipeline_once()  # warm imports and caches for both arms
-        instrumented = best_of(5)
-
+        # Interleave the arms (one instrumented run, then one stubbed run,
+        # per round) so host speed drift hits both alike; best of 5 each.
         stub = _StubObs()
-        for modname in _INSTRUMENTED:
-            monkeypatch.setattr(
-                importlib.import_module(modname), "obs", stub
-            )
-        stubbed = best_of(5)
+        instrumented = stubbed = float("inf")
+        for _ in range(5):
+            use(obs)
+            instrumented = min(instrumented, timed())
+            use(stub)
+            stubbed = min(stubbed, timed())
 
         # 2% plus a 2ms grace against scheduler jitter on tiny baselines.
         assert instrumented <= stubbed * 1.02 + 0.002, (
@@ -684,7 +688,7 @@ class TestSampleMerge:
     def test_pool_workers_spill_and_merge_into_one_timeline(self, tmp_path):
         """Parent + pool workers each write samples-<pid>.jsonl; the merge
         is one globally time-ordered series, monotonic per worker."""
-        from repro.exec import LocalPoolBackend, ParallelRunner, RunSpec
+        from repro.exec import LocalPoolBackend, RunSpec, SweepPlan
         from repro.util.units import MSEC
 
         spill = str(tmp_path / "samples")
@@ -692,9 +696,8 @@ class TestSampleMerge:
         sampler = obs.Sampler(period_s=0.02, spill_dir=spill)
         sampler.start(export_env=True)
         try:
-            runner = ParallelRunner(backend=LocalPoolBackend(2))
             specs = [RunSpec.make("FTQ", 60 * MSEC, s, 2) for s in range(4)]
-            results = runner.run(specs)
+            results = SweepPlan(specs).execute(LocalPoolBackend(2))
         finally:
             sampler.stop()
         assert len(results) == 4
@@ -716,14 +719,29 @@ class TestSampleMerge:
             monos = [s["mono_ns"] for s in worker_samples]
             assert monos == sorted(monos)
 
+    def test_pool_workers_ship_back_only_their_own_telemetry(self):
+        """Forked pool workers inherit the parent's registry; merging it
+        back must not double-count what the parent already counted."""
+        from repro.exec import LocalPoolBackend, RunSpec, SweepPlan
+        from repro.util.units import MSEC
+
+        obs.enable()
+        specs = [RunSpec.make("FTQ", 60 * MSEC, s, 2) for s in range(4)]
+        plan = SweepPlan(specs)
+        plan.execute(LocalPoolBackend(2))
+        assert plan.last_stats["used_processes"]
+        counters = obs.aggregate()["counters"]
+        assert counters["plan.specs"] == 4
+        assert counters["runner.runs"] == 4
+
     def test_worker_death_loses_no_samples(self, tmp_path):
         """FlakyBackend kills the dispatch mid-campaign; the spill stays
         gap-free and a later sample records the death counter."""
         from repro.exec import (
             FlakyBackend,
-            ParallelRunner,
             RunSpec,
             SerialBackend,
+            SweepPlan,
         )
         from repro.util.units import MSEC
 
@@ -733,9 +751,8 @@ class TestSampleMerge:
         sampler.start()
         try:
             flaky = FlakyBackend(SerialBackend(), failures=1, survive=1)
-            runner = ParallelRunner(backend=flaky, backoff_s=0.001)
             specs = [RunSpec.make("FTQ", 60 * MSEC, s, 2) for s in range(4)]
-            results = runner.run(specs)
+            results = SweepPlan(specs).execute(flaky)
         finally:
             sampler.stop()
         assert len(results) == 4 and flaky.injected == 1

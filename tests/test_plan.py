@@ -22,10 +22,9 @@ from repro.exec import (
     FlakyBackend,
     Journal,
     LocalPoolBackend,
-    ParallelRunner,
-    ResultCache,
     RunSpec,
     SerialBackend,
+    ShardedStore,
     SweepPlan,
     dispatch_with_retry,
 )
@@ -134,9 +133,8 @@ class TestSweepPlan:
         specs = [spec(2), spec(0), spec(1), spec(0)]
         plan = SweepPlan(specs, shards=4, plan_dir=str(tmp_path))
         plan.save()
-        runner = ParallelRunner(parallel=False,
-                                cache=ResultCache(str(tmp_path / "store")))
-        results = plan.execute(runner)
+        results = plan.execute(SerialBackend(),
+                               ShardedStore(str(tmp_path / "store")))
         assert [r.spec.seed for r in results] == [2, 0, 1]
         fanned = plan.results_for(specs, results)
         assert [r.spec.seed for r in fanned] == [2, 0, 1, 0]
@@ -149,7 +147,7 @@ class TestSweepPlan:
         plan = SweepPlan([spec(s) for s in range(4)], shards=2,
                          plan_dir=str(tmp_path))
         plan.save()
-        plan.execute(ParallelRunner(parallel=False))
+        plan.execute(SerialBackend())
         states = plan.journal().replay()
         assert set(states) == set(plan.tokens)
         assert set(states.values()) == {"done"}
@@ -160,9 +158,10 @@ class TestSweepPlan:
                          shards=1, plan_dir=str(tmp_path))
         plan.save()
         with pytest.raises(ValueError):
-            plan.execute(ParallelRunner(parallel=False))
+            plan.execute(SerialBackend())
         counts = plan.journal().counts()
         assert counts["failed"] >= 1
+        assert plan.last_stats["failures"] == counts["failed"]
         issues = plan.verify_journal()
         assert not any("running" in issue for issue in issues)
 
@@ -206,11 +205,11 @@ class TestBackends:
 
     def test_runner_with_flaky_backend_bit_identical(self, tmp_path):
         specs = [spec(s) for s in range(4)]
-        baseline = ParallelRunner(parallel=False).run(specs)
+        baseline = SweepPlan(specs).execute(SerialBackend())
         flaky = FlakyBackend(SerialBackend(), failures=2, survive=1)
-        runner = ParallelRunner(backend=flaky, backoff_s=0.001)
-        recovered = runner.run(specs)
+        recovered = SweepPlan(specs).execute(flaky)
         assert flaky.injected == 2
+        assert [r.spec for r in recovered] == specs
         for a, b in zip(baseline, recovered):
             assert a.trace.to_bytes() == b.trace.to_bytes()
             assert a.meta.to_json() == b.meta.to_json()
@@ -233,7 +232,7 @@ class TestInterruptResume:
     SEEDS = list(range(12))
 
     def _planned_sweep(self, tmp_path, progress=None, backend=None):
-        cache = ResultCache(str(tmp_path / "store"))
+        cache = ShardedStore(str(tmp_path / "store"))
         specs = [spec(s) for s in self.SEEDS]
         plan_dir = str(tmp_path / "plan")
         if SweepPlan.exists(plan_dir):
@@ -370,7 +369,7 @@ class TestSweepPlanCLI:
         err = capsys.readouterr().err
         assert "budget 1 bytes" in err
         # Budget of one byte: every put evicts the previous entry.
-        store = ResultCache(str(tmp_path / "cache"))
+        store = ShardedStore(str(tmp_path / "cache"))
         assert len(store.entries()) == 1
 
 

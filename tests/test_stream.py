@@ -447,15 +447,14 @@ def test_byte_stream_empty_raises_batch_error():
 # ----------------------------------------------------------------------
 
 def test_streaming_run_matches_batch_run():
-    """execute_spec_streaming never assembles a trace, yet matches the
+    """RunSpec.execute_streaming never assembles a trace, yet matches the
     analysis of the identically-seeded batch run exactly."""
-    from repro.exec.runner import execute_spec_streaming
     from repro.exec.spec import RunSpec
 
     spec = RunSpec(workload="ftq", duration_ns=300 * MSEC, seed=11, ncpus=2)
     trace, m = spec.execute()
     batch = NoiseAnalysis(trace, meta=m)
-    stream = execute_spec_streaming(spec, window_ns=50 * MSEC)
+    stream = spec.execute_streaming(window_ns=50 * MSEC)
     assert stream.noise_fraction() == batch.noise_fraction()
     assert stream.total_noise_ns() == batch.total_noise_ns()
     assert stream.breakdown_ns() == batch.breakdown_ns()
