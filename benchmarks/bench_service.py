@@ -1,7 +1,10 @@
-"""Performance of the analysis service: multi-client cache-hit serving.
+"""Performance of the analysis service: cache-hit serving and repeat renders.
 
 Not a paper experiment — engineering numbers for the ``lttng-noise
-serve`` subsystem.  The gated metric is ``service_hit_rps``: cache-hit
+serve`` subsystem.  ``service_render_memo_speedup`` (recorded, not
+gated) is the first ``report`` render of a stored run over the median
+repeat, which the response memo serves.  The gated metric is
+``service_hit_rps``: cache-hit
 request throughput with 8 concurrent clients relative to 1 client, over
 the same warmed store.  It is a machine-independent ratio (both sides
 run on the same box in the same session) that CI gates through ``obs
@@ -14,6 +17,7 @@ work inline).
 from __future__ import annotations
 
 import asyncio
+import statistics
 import threading
 import time
 
@@ -147,3 +151,28 @@ def test_service_hit_rps_scales_with_clients(warm_server):
     assert ratio > 0.5, (
         f"8-client hit throughput collapsed to {ratio:.2f}x of 1 client"
     )
+
+
+def test_service_repeat_render(warm_server):
+    """First ``report`` render of a stored run vs repeats of it.
+
+    The first render reads the run from the store and analyzes it; every
+    repeat is the same immutable body, served from the response memo."""
+    with ServiceClient("127.0.0.1", warm_server.port) as client:
+        job_id = client.submit(SPEC)["job"]["id"]
+        t0 = time.perf_counter()
+        first = client.render(job_id, "report")
+        first_s = time.perf_counter() - t0
+        repeats = []
+        for _ in range(30):
+            t0 = time.perf_counter()
+            body = client.render(job_id, "report")
+            repeats.append(time.perf_counter() - t0)
+            assert body == first
+        memo = client.healthz()["render_memo"]
+    speedup = first_s / statistics.median(repeats)
+    print(f"\nservice report render: first {1e3 * first_s:.2f} ms, "
+          f"repeat median {1e3 * statistics.median(repeats):.3f} ms "
+          f"({speedup:.1f}x)")
+    record_metric("service_render_memo_speedup", speedup)
+    assert memo["hits"] >= len(repeats)

@@ -281,20 +281,12 @@ def cmd_export(args) -> int:
         print(f"npz: {args.npz}")
         did = True
     if args.chrome:
-        from repro.core.timeline import TaskTimeline
-        from repro.io import export_chrome_trace
+        from repro.io import analysis_chrome_events, chrome_trace_bytes
 
-        timeline = TaskTimeline(
-            analysis.records, meta=meta, end_ts=analysis.end_ts
-        )
-        n = export_chrome_trace(
-            args.chrome,
-            analysis.table,
-            meta,
-            timeline=timeline,
-            ncpus=analysis.ncpus,
-        )
-        print(f"chrome: {n} events -> {args.chrome} "
+        events = analysis_chrome_events(analysis, meta)
+        with open(args.chrome, "wb") as fp:
+            fp.write(chrome_trace_bytes(events))
+        print(f"chrome: {len(events)} events -> {args.chrome} "
               f"(open in chrome://tracing or ui.perfetto.dev)")
         did = True
     if not did:
@@ -791,7 +783,7 @@ def cmd_serve(args) -> int:
     """Run the analysis service until SIGTERM/SIGINT (docs/service.md)."""
     import asyncio
 
-    from repro.service.handlers import run_server
+    from repro.service.handlers import SERVE_SPAN_RING, run_server
     from repro.service.http import parse_hostport
 
     try:
@@ -800,9 +792,11 @@ def cmd_serve(args) -> int:
         print(f"serve: {exc}", file=sys.stderr)
         return 2
     # The service self-observes unconditionally: /metrics, per-request
-    # spans and the service.* gauges all read the obs registry.
+    # spans and the service.* gauges all read the obs registry.  Every
+    # request finishes a span, so a server keeps only the recent ones.
     if not obs.enabled():
         obs.enable()
+    obs.REGISTRY.keep_recent_spans(SERVE_SPAN_RING)
 
     def announce(server) -> None:
         print(f"listening on http://{server.host}:{server.port} "

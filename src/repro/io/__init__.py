@@ -2,7 +2,8 @@
 
 from repro.io.chrometrace import (
     activities_to_events,
-    export_chrome_trace,
+    analysis_chrome_events,
+    chrome_trace_bytes,
     read_chrome_trace,
 )
 from repro.io.matlabfmt import (
@@ -15,7 +16,8 @@ from repro.io.paraver import ParaverWriter, PrvRecord, parse_prv
 
 __all__ = [
     "activities_to_events",
-    "export_chrome_trace",
+    "analysis_chrome_events",
+    "chrome_trace_bytes",
     "read_chrome_trace",
     "activities_to_csv",
     "activity_arrays",

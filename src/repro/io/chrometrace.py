@@ -142,17 +142,13 @@ def timeline_to_events(timeline, meta: Optional[TraceMeta] = None) -> List[dict]
     return events
 
 
-def export_chrome_trace(
-    path: str,
+def chrome_trace_events(
     activities: Union[ActivityTable, Sequence[Activity]],
     meta: Optional[TraceMeta] = None,
     timeline=None,
     ncpus: Optional[int] = None,
-) -> int:
-    """Write a .json trace loadable in chrome://tracing / Perfetto.
-
-    Returns the number of events written.
-    """
+) -> List[dict]:
+    """Every event of one exported trace, process/thread names included."""
     meta = meta if meta is not None else TraceMeta()
     events = activities_to_events(activities, meta)
     if timeline is not None:
@@ -192,10 +188,28 @@ def export_chrome_trace(
                     "args": {"name": meta.name_of(pid)},
                 }
             )
+    return events
+
+
+def analysis_chrome_events(analysis, meta: Optional[TraceMeta] = None
+                           ) -> List[dict]:
+    """The full export of one analyzed run: its activities on one track
+    per CPU plus every task's state intervals, as ``lttng-noise export
+    --chrome`` and the service's ``chrome`` render both write it."""
+    from repro.core.timeline import TaskTimeline
+
+    timeline = TaskTimeline(
+        analysis.records, meta=meta, end_ts=analysis.end_ts
+    )
+    return chrome_trace_events(
+        analysis.table, meta, timeline=timeline, ncpus=analysis.ncpus
+    )
+
+
+def chrome_trace_bytes(events: List[dict]) -> bytes:
+    """The JSON document loadable in chrome://tracing / Perfetto."""
     payload = {"traceEvents": events, "displayTimeUnit": "ns"}
-    with open(path, "w") as fp:
-        json.dump(payload, fp)
-    return len(events)
+    return json.dumps(payload).encode("ascii")
 
 
 def read_chrome_trace(path: str) -> List[dict]:

@@ -3,14 +3,14 @@
 Two consumers, two shapes:
 
 * :func:`write_jsonl` — one JSON object per line (a ``meta`` line, then
-  every counter/gauge/histogram series and every span), the archival form
-  CI and benchmark sidecars keep;
+  every counter/gauge/histogram series, every span rollup and every
+  retained span), the archival form CI and benchmark sidecars keep;
 * :func:`write_chrome_trace` — the Trace Event Format, following the same
   conventions as :mod:`repro.io.chrometrace` (microsecond ``ts``/``dur``,
   a ``traceEvents`` envelope, process-name metadata), so the pipeline's own
   execution opens in Perfetto exactly like the simulated kernel's traces.
-  Spans become complete ("X") slices per (pid, tid); metric series become
-  counter ("C") tracks.
+  Spans become complete ("X") slices per (pid, tid); metric series and
+  span rollups become counter ("C") tracks.
 * :func:`prometheus_text` — the Prometheus text exposition format
   (counters as ``_total``, histograms with cumulative ``_bucket{le=...}``
   plus ``_sum``/``_count``), so any scraper or Grafana agent can ingest a
@@ -27,7 +27,12 @@ import json
 import re
 from typing import Any, Dict, List, Optional
 
-from repro.obs.metrics import REGISTRY, MetricsRegistry, series_key
+from repro.obs.metrics import (
+    REGISTRY,
+    MetricsRegistry,
+    series_key,
+    span_rollup_of,
+)
 
 
 def snapshot(registry: Optional[MetricsRegistry] = None) -> Dict[str, Any]:
@@ -50,6 +55,8 @@ def write_jsonl(path: str, snap: Optional[Dict[str, Any]] = None) -> int:
     for kind in ("counters", "gauges", "histograms"):
         for entry in snap[kind]:
             lines.append(json.dumps({"type": kind[:-1], **entry}))
+    for name, agg in sorted(span_rollup_of(snap).items()):
+        lines.append(json.dumps({"type": "span_rollup", "name": name, **agg}))
     for entry in snap["spans"]:
         lines.append(json.dumps({"type": "span", **entry}))
     with open(path, "w") as fp:
@@ -61,7 +68,8 @@ def read_jsonl(path: str) -> Dict[str, Any]:
     """Read a :func:`write_jsonl` capture back into snapshot shape.
 
     The inverse of the writer (types ``meta`` / ``counter`` / ``gauge`` /
-    ``histogram`` / ``span`` map back to the snapshot's sections), so a
+    ``histogram`` / ``span_rollup`` / ``span`` map back to the snapshot's
+    sections; a capture without rollup lines gets them from its spans), so a
     saved ``--obs`` capture can be re-exported to another format or
     compared with ``obs diff``.  Unknown line types are ignored for
     forward compatibility.
@@ -87,6 +95,8 @@ def read_jsonl(path: str) -> Dict[str, Any]:
             kind = entry.pop("type", None)
             if kind == "meta":
                 snap["meta"] = entry
+            elif kind == "span_rollup":
+                snap.setdefault("span_rollup", {})[entry.pop("name")] = entry
             elif kind in sections:
                 snap[sections[kind]].append(entry)
     return snap
@@ -176,13 +186,7 @@ def prometheus_text(snap: Optional[Dict[str, Any]] = None) -> str:
         label_str = _prom_labels(labels)
         lines.append(f"{name}_sum{label_str} {_prom_number(entry['sum'])}")
         lines.append(f"{name}_count{label_str} {entry['count']}")
-    span_rollup: Dict[str, Dict[str, float]] = {}
-    for s in snap.get("spans", ()):
-        agg = span_rollup.setdefault(
-            s["name"], {"count": 0, "total_ms": 0.0}
-        )
-        agg["count"] += 1
-        agg["total_ms"] += s["dur_ns"] / 1e6
+    span_rollup = span_rollup_of(snap)
     if span_rollup:
         cname = PROM_PREFIX + "span_count"
         tname = PROM_PREFIX + "span_total_ms"
@@ -195,7 +199,7 @@ def prometheus_text(snap: Optional[Dict[str, Any]] = None) -> str:
                 f"{cname}{labels_str} {_prom_number(agg['count'])}"
             )
             lines.append(
-                f"{tname}{labels_str} {_prom_number(agg['total_ms'])}"
+                f"{tname}{labels_str} {_prom_number(agg['total_ns'] / 1e6)}"
             )
     return "\n".join(lines) + "\n" if lines else ""
 
@@ -260,6 +264,19 @@ def chrome_events(snap: Optional[Dict[str, Any]] = None) -> List[dict]:
                 "args": {"count": entry["count"], "sum": entry["sum"]},
             }
         )
+    # Lifetime span totals: exact even when only recent spans were kept.
+    for name, agg in sorted(span_rollup_of(snap).items()):
+        events.append(
+            {
+                "name": f"span:{name}",
+                "cat": "metrics",
+                "ph": "C",
+                "ts": last_us,
+                "pid": own_pid,
+                "args": {"count": agg["count"],
+                         "total_ms": agg["total_ns"] / 1e6},
+            }
+        )
     for pid in sorted(pids):
         name = (
             "lttng-noise pipeline" if pid == own_pid else f"worker {pid}"
@@ -294,15 +311,11 @@ def aggregate(snap: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
     """Flatten a snapshot for embedding in benchmark JSON: scalar series
     keyed by ``name{labels}``, spans rolled up per name."""
     snap = snap if snap is not None else snapshot()
-    spans: Dict[str, Dict[str, float]] = {}
-    for s in snap["spans"]:
-        agg = spans.setdefault(
-            s["name"], {"count": 0, "total_ms": 0.0, "max_ms": 0.0}
-        )
-        agg["count"] += 1
-        ms = s["dur_ns"] / 1e6
-        agg["total_ms"] += ms
-        agg["max_ms"] = max(agg["max_ms"], ms)
+    spans = {
+        name: {"count": agg["count"], "total_ms": agg["total_ns"] / 1e6,
+               "max_ms": agg["max_ns"] / 1e6}
+        for name, agg in span_rollup_of(snap).items()
+    }
     return {
         "counters": {
             _series_key(e): e["value"] for e in snap["counters"]

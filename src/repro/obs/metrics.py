@@ -30,7 +30,8 @@ import bisect
 import os
 import threading
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from collections import deque
+from typing import Any, Deque, Dict, List, Optional, Tuple, Union
 
 #: Environment flag: when set, the registry starts enabled.  ``enable()``
 #: exports it so process-pool workers (spawn or fork) inherit obs mode.
@@ -42,6 +43,9 @@ DEFAULT_BUCKETS: Tuple[float, ...] = tuple(
 )
 
 LabelItems = Tuple[Tuple[str, Any], ...]
+
+#: Per-span-name lifetime totals: ``{"count", "total_ns", "max_ns"}``.
+SpanRollup = Dict[str, Dict[str, int]]
 
 
 def _label_items(labels: Dict[str, Any]) -> LabelItems:
@@ -157,8 +161,12 @@ class MetricsRegistry:
         self.enabled = enabled
         self._lock = threading.Lock()
         self._series: Dict[Tuple[str, str, LabelItems], Any] = {}
-        #: Finished :class:`~repro.obs.spans.SpanRecord` objects, append-only.
-        self.spans: List[Any] = []
+        #: Finished :class:`~repro.obs.spans.SpanRecord` objects: all of
+        #: them, or only the most recent ones after :meth:`keep_recent_spans`.
+        self.spans: Union[List[Any], Deque[Any]] = []
+        self._span_cap: Optional[int] = None
+        #: Exact lifetime totals per span name, whatever ``spans`` retains.
+        self.span_rollup: SpanRollup = {}
         #: perf_counter_ns at enable time — the chrome-trace time origin.
         self.epoch_ns = time.perf_counter_ns()
         self._owns_tracemalloc = False
@@ -191,11 +199,49 @@ class MetricsRegistry:
             self._owns_tracemalloc = False
 
     def reset(self) -> None:
-        """Drop every series and span (the enabled flag is untouched)."""
+        """Drop every series and span (the enabled flag and the span cap
+        are untouched)."""
         with self._lock:
             self._series.clear()
-            self.spans = []
+            self.spans = self._new_span_buffer()
+            self.span_rollup = {}
             self.epoch_ns = time.perf_counter_ns()
+
+    # ------------------------------------------------------------------
+    # Spans
+    # ------------------------------------------------------------------
+    def keep_recent_spans(self, cap: Optional[int]) -> None:
+        """Retain only the ``cap`` most recent span records (None: all).
+
+        A long-running process sets this so its span buffer stays
+        bounded; :attr:`span_rollup` still counts every span, so the
+        Prometheus and aggregate span totals stay exact lifetime values.
+        """
+        with self._lock:
+            self._span_cap = cap
+            self.spans = self._new_span_buffer(self.spans)
+
+    def _new_span_buffer(self, records=()) -> Union[List[Any], Deque[Any]]:
+        if self._span_cap is None:
+            return list(records)
+        return deque(records, maxlen=self._span_cap)
+
+    def record_span(self, record: Any) -> None:
+        """Keep one finished span and fold it into its name's rollup
+        (the same sum as :func:`_roll`, inlined: every enabled span
+        exit pays it)."""
+        dur = record.dur_ns
+        with self._lock:
+            self.spans.append(record)
+            agg = self.span_rollup.get(record.name)
+            if agg is None:
+                self.span_rollup[record.name] = {
+                    "count": 1, "total_ns": dur, "max_ns": dur}
+            else:
+                agg["count"] += 1
+                agg["total_ns"] += dur
+                if dur > agg["max_ns"]:
+                    agg["max_ns"] = dur
 
     # ------------------------------------------------------------------
     # Series accessors (get-or-create)
@@ -267,8 +313,13 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     # Snapshot / merge (the cross-process protocol)
     # ------------------------------------------------------------------
-    def snapshot(self) -> Dict[str, Any]:
-        """The registry as plain JSON-able data."""
+    def snapshot(self, spans: bool = True) -> Dict[str, Any]:
+        """The registry as plain JSON-able data.
+
+        ``spans=False`` leaves the span records out (``span_rollup`` is
+        always there): what a ``/metrics`` scrape needs, at a cost that
+        does not grow with the span buffer.
+        """
         import repro
 
         counters = []
@@ -293,7 +344,9 @@ class MetricsRegistry:
                         max=m.max,
                     )
                     histograms.append(entry)
-            spans = [s.to_dict() for s in self.spans]
+            records = [s.to_dict() for s in self.spans] if spans else []
+            rollup = {name: dict(agg)
+                      for name, agg in self.span_rollup.items()}
         return {
             "meta": {
                 "pid": os.getpid(),
@@ -303,7 +356,8 @@ class MetricsRegistry:
             "counters": counters,
             "gauges": gauges,
             "histograms": histograms,
-            "spans": spans,
+            "spans": records,
+            "span_rollup": rollup,
         }
 
     def drain_snapshot(self) -> Dict[str, Any]:
@@ -317,9 +371,10 @@ class MetricsRegistry:
     def merge_snapshot(self, snap: Dict[str, Any]) -> None:
         """Fold another process's snapshot into this registry.
 
-        Counters and histogram cells add; gauges last-write-win; spans are
-        appended verbatim (they carry their own pid, so a merged chrome
-        export shows each worker as its own process track).
+        Counters and histogram cells add; gauges last-write-win; span
+        rollups add; spans are appended verbatim (they carry their own
+        pid, so a merged chrome export shows each worker as its own
+        process track).
         """
         from repro.obs.spans import SpanRecord
 
@@ -355,10 +410,39 @@ class MetricsRegistry:
                     setattr(
                         hist, attr, bound if cur is None else pick(cur, bound)
                     )
-            for entry in snap.get("spans", ()):
-                self.spans.append(SpanRecord.from_dict(entry))
+            records = [SpanRecord.from_dict(e) for e in snap.get("spans", ())]
+            with self._lock:
+                self.spans.extend(records)
+                for name, agg in span_rollup_of(snap).items():
+                    _roll(self.span_rollup, name, agg["count"],
+                          agg["total_ns"], agg["max_ns"])
         finally:
             self.enabled = was_enabled
+
+
+def _roll(rollup: SpanRollup, name: str, count: int, total_ns: int,
+          max_ns: int) -> None:
+    agg = rollup.get(name)
+    if agg is None:
+        rollup[name] = {"count": count, "total_ns": total_ns,
+                        "max_ns": max_ns}
+        return
+    agg["count"] += count
+    agg["total_ns"] += total_ns
+    if max_ns > agg["max_ns"]:
+        agg["max_ns"] = max_ns
+
+
+def span_rollup_of(snap: Dict[str, Any]) -> SpanRollup:
+    """A snapshot's per-name span totals: its ``span_rollup``, or, for a
+    capture written before rollups existed, the totals of its spans."""
+    rollup = snap.get("span_rollup")
+    if rollup is not None:
+        return rollup
+    out: SpanRollup = {}
+    for s in snap.get("spans", ()):
+        _roll(out, s["name"], 1, s["dur_ns"], s["dur_ns"])
+    return out
 
 
 #: The process-global default registry.  Starts disabled unless a parent

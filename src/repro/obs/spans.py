@@ -13,9 +13,9 @@ context managers and as decorators::
     @obs.span("nesting")
     def build_activity_table(...): ...
 
-Finished spans land in the registry's per-process buffer; the parallel
-runner serializes worker buffers and merges them into the parent, so one
-chrome-trace export shows every worker as its own process track.
+Finished spans land in the registry's per-process buffer and in its
+per-name rollup; pool workers serialize both and the parent merges them,
+so one chrome-trace export shows every worker as its own process track.
 """
 
 from __future__ import annotations
@@ -133,7 +133,7 @@ class span:
             stack.pop()
         elif self in stack:  # defensive: mis-nested exits
             stack.remove(self)
-        self._reg.spans.append(
+        self._reg.record_span(
             SpanRecord(
                 name=self.name,
                 start_ns=self._t0,

@@ -17,7 +17,8 @@ many clients off the shared result store:
   (``/v1/jobs``, ``/v1/traces``, ``/v1/jobs/<id>/render/<kind>``,
   ``/healthz``, ``/metrics``) with per-request obs spans, counters and
   latency histograms — the service profiles itself through the same
-  telemetry stack it serves;
+  telemetry stack it serves — and the response memo that serves repeat
+  renders and results without re-analyzing;
 * :mod:`repro.service.client` — a stdlib client used by tests and the
   ``lttng-noise submit`` subcommand.
 

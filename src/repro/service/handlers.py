@@ -16,11 +16,17 @@ Routes (all JSON unless noted)::
 Render kinds mirror the batch CLI: ``analyze`` (the ``lttng-noise
 analyze`` body, bit-identical), ``report`` (``lttng-noise report``),
 ``chart`` (largest interruptions), ``timeline`` (ASCII per-CPU trace
-view) and ``chrome`` (trace-event JSON for Perfetto).  Renders beyond
-``analyze`` re-load the run's trace from the sharded store, so they work
-only for spec jobs whose entry has not been evicted — upload jobs keep
-no trace by design (that is the memory bound), so they serve ``analyze``
-only.
+view, at most :data:`MAX_TIMELINE_WIDTH` columns) and ``chrome``
+(trace-event JSON for Perfetto, byte-identical to ``lttng-noise export
+--chrome``).  ``analyze`` is served from the job's result.  The other
+renders load the run's trace from the sharded store and analyze it once:
+a spec job's id is its store token, so a render is a pure function of
+``(job id, kind, parsed params)``, and the finished body goes into a
+:class:`ResponseMemo` that serves every later request for it — even
+after the store has evicted the entry.  Upload jobs keep no trace by
+design (that is the memory bound), so they serve ``analyze`` only.  The
+``/result`` body of a done job never changes either and is memoized the
+same way.
 
 Every request runs under an ``obs`` span with a method+route counter and
 a latency histogram, and the job table publishes ``service.*`` gauges —
@@ -31,10 +37,12 @@ telemetry stack the pipeline uses for itself.
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import signal
 import time
-from typing import Any, Dict, Optional, Tuple
+from collections import OrderedDict
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro import obs
 from repro.exec.spec import RunSpec, resolve_factory
@@ -44,6 +52,21 @@ from repro.service.jobs import JOB_DONE, JOB_FAILED, Job, JobTable
 
 #: Render kinds served under ``/v1/jobs/<id>/render/<kind>``.
 RENDER_KINDS = ("analyze", "report", "chart", "timeline", "chrome")
+
+#: Widest ``timeline?width=`` served: the render allocates a cell per
+#: CPU and column, so the width is outside input that sizes memory.
+MAX_TIMELINE_WIDTH = 10_000
+
+#: Byte budget of the response memo.  A body over a quarter of it is
+#: served but not kept (a 1 s AMG ``chrome`` render is ~4.5 MB).
+RENDER_MEMO_BYTES = 8 * 1024 * 1024
+
+#: Span records ``serve`` keeps; the per-name span totals stay exact.
+SERVE_SPAN_RING = 1024
+
+#: ``(job id, kind, parsed param)`` -> ``(body, content type)``.
+MemoKey = Tuple[str, str, Optional[int]]
+MemoEntry = Tuple[bytes, str]
 
 
 def _parse_spec(body: bytes) -> RunSpec:
@@ -74,7 +97,7 @@ def _parse_spec(body: bytes) -> RunSpec:
 
 
 def _int_query(request: Request, name: str, default: int,
-               minimum: int = 1) -> int:
+               minimum: int = 1, maximum: Optional[int] = None) -> int:
     raw = request.query.get(name)
     if raw is None or raw == "":
         return default
@@ -84,7 +107,99 @@ def _int_query(request: Request, name: str, default: int,
         raise HttpError(400, f"query parameter {name!r} must be an integer")
     if value < minimum:
         raise HttpError(400, f"query parameter {name!r} must be >= {minimum}")
+    if maximum is not None and value > maximum:
+        raise HttpError(400, f"query parameter {name!r} must be <= {maximum}")
     return value
+
+
+class ResponseMemo:
+    """Finished 200 bodies of immutable responses, LRU under a byte budget.
+
+    Only the event-loop thread touches it, so it takes no lock.  A miss
+    that is computed elsewhere (a render on the executor) is one shared
+    future per key: concurrent requests for the same key await it, and
+    its completion callback, which also runs on the loop, stores the
+    body.  Errors are never stored.  ``hits`` counts requests answered
+    without starting a computation, ``misses`` the computations started.
+    """
+
+    def __init__(self) -> None:
+        self.max_bytes = RENDER_MEMO_BYTES
+        self.nbytes = 0
+        self.hits = 0
+        self.misses = 0
+        self._entries: "OrderedDict[MemoKey, MemoEntry]" = OrderedDict()
+        self._pending: "Dict[MemoKey, asyncio.Future[MemoEntry]]" = {}
+
+    def stats(self) -> Dict[str, int]:
+        return {"entries": len(self._entries), "bytes": self.nbytes,
+                "max_bytes": self.max_bytes, "hits": self.hits,
+                "misses": self.misses}
+
+    def lookup(self, key: MemoKey,
+               build: Callable[[], MemoEntry]) -> MemoEntry:
+        """The stored entry, or ``build()``'s, stored (cheap builds)."""
+        entry = self._hit(key)
+        if entry is None:
+            self._count(hit=False)
+            entry = build()
+            self._store(key, entry)
+        return entry
+
+    async def fetch(
+        self, key: MemoKey,
+        start: "Callable[[], asyncio.Future[MemoEntry]]",
+    ) -> MemoEntry:
+        """The stored entry, or the result of the one in-flight
+        ``start()`` future for ``key``, starting it if there is none."""
+        entry = self._hit(key)
+        if entry is not None:
+            return entry
+        pending = self._pending.get(key)
+        if pending is None:
+            self._count(hit=False)
+            pending = self._pending[key] = start()
+            pending.add_done_callback(functools.partial(self._settle, key))
+        else:
+            self._count(hit=True)
+        # One waiter's cancellation must not cancel the shared work.
+        return await asyncio.shield(pending)
+
+    def _hit(self, key: MemoKey) -> Optional[MemoEntry]:
+        entry = self._entries.get(key)
+        if entry is not None:
+            self._entries.move_to_end(key)
+            self._count(hit=True)
+        return entry
+
+    def _settle(self, key: MemoKey,
+                future: "asyncio.Future[MemoEntry]") -> None:
+        del self._pending[key]
+        # exception() also marks a failure retrieved when no one waits.
+        if not future.cancelled() and future.exception() is None:
+            self._store(key, future.result())
+
+    def _store(self, key: MemoKey, entry: MemoEntry) -> None:
+        size = len(entry[0])
+        if size > self.max_bytes // 4 or key in self._entries:
+            return
+        self._entries[key] = entry
+        self.nbytes += size
+        while self.nbytes > self.max_bytes:
+            _, (body, _ctype) = self._entries.popitem(last=False)
+            self.nbytes -= len(body)
+        if obs.enabled():
+            obs.gauge("service.render_memo_entries").set(len(self._entries))
+            obs.gauge("service.render_memo_bytes").set(self.nbytes)
+
+    def _count(self, hit: bool) -> None:
+        if hit:
+            self.hits += 1
+        else:
+            self.misses += 1
+        if obs.enabled():
+            obs.counter("service.render_memo_hits" if hit
+                        else "service.render_memo_misses").inc()
 
 
 class ServiceApp:
@@ -92,6 +207,7 @@ class ServiceApp:
 
     def __init__(self, table: JobTable) -> None:
         self.table = table
+        self.memo = ResponseMemo()
         self.started_mono = time.monotonic()
 
     # ------------------------------------------------------------------
@@ -165,6 +281,7 @@ class ServiceApp:
                 "hits": self.table.store.hits,
                 "misses": self.table.store.misses,
             },
+            "render_memo": self.memo.stats(),
         })
 
     def _metrics(self) -> Response:
@@ -176,7 +293,7 @@ class ServiceApp:
                 content_type="text/plain; version=0.0.4",
             )
         return Response.text(
-            prometheus_text(obs.snapshot()),
+            prometheus_text(obs.REGISTRY.snapshot(spans=False)),
             content_type="text/plain; version=0.0.4",
         )
 
@@ -255,7 +372,16 @@ class ServiceApp:
             )
         if job.state != JOB_DONE:
             raise HttpError(409, f"job is {job.state}; poll until done")
-        return Response.json({"job": job.describe(), "result": job.result})
+
+        def build() -> MemoEntry:
+            response = Response.json(
+                {"job": job.describe(), "result": job.result}
+            )
+            return response.body, response.content_type
+
+        body, content_type = self.memo.lookup((job.id, "result", None),
+                                              build)
+        return Response(200, body, content_type=content_type)
 
     # ------------------------------------------------------------------
     # Renders
@@ -265,6 +391,12 @@ class ServiceApp:
             raise HttpError(
                 404, f"unknown render {kind!r}; one of {RENDER_KINDS}"
             )
+        param: Optional[int] = None
+        if kind == "chart":
+            param = _int_query(request, "top", 20)
+        elif kind == "timeline":
+            param = _int_query(request, "width", 100,
+                               maximum=MAX_TIMELINE_WIDTH)
         if job.state != JOB_DONE:
             raise HttpError(409, f"job is {job.state}; poll until done")
         if kind == "analyze":
@@ -280,82 +412,70 @@ class ServiceApp:
         # bound — run them off the loop so one big render can't stall
         # every other connection's heartbeat.
         loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(
-            None, self._render_job, job, kind, request
+        body, content_type = await self.memo.fetch(
+            (job.id, kind, param),
+            lambda: loop.run_in_executor(
+                None, self._render_body, job, kind, param
+            ),
         )
+        headers = None
+        if kind == "chrome":
+            headers = {
+                "Content-Disposition":
+                    f'attachment; filename="{job.id[:12]}.chrome.json"'
+            }
+        return Response(200, body, content_type=content_type,
+                         headers=headers)
 
-    def _render_job(self, job: Job, kind: str, request: Request) -> Response:
+    def _render_body(self, job: Job, kind: str,
+                     param: Optional[int]) -> MemoEntry:
+        """Executor body: load the stored run and render it."""
         loaded = self.table.load_run(job)
         if loaded is None:
             raise HttpError(
                 404, "the run's store entry was evicted; re-submit the spec"
             )
-        trace, meta = loaded
-        return self._render_trace(job, kind, trace, meta, request)
+        return _render_trace(kind, *loaded, param)
 
-    def _render_trace(self, job: Job, kind: str, trace: Any, meta: Any,
-                      request: Request) -> Response:
-        from repro.core import NoiseAnalysis
 
-        analysis = NoiseAnalysis(trace, meta=meta)
-        if kind == "report":
-            from repro.core.report import full_report
+def _render_trace(kind: str, trace: Any, meta: Any,
+                  param: Optional[int]) -> MemoEntry:
+    """One render of a stored run: ``(body, content type)``.  ``param``
+    is the parsed ``top`` for ``chart`` and ``width`` for ``timeline``."""
+    from repro.core import NoiseAnalysis
 
-            return Response.text(full_report(analysis, meta=meta) + "\n")
-        if kind == "chart":
-            from repro.core import SyntheticNoiseChart
-            from repro.core.report import format_interruptions
+    analysis = NoiseAnalysis(trace, meta=meta)
+    if kind == "chrome":
+        from repro.io import analysis_chrome_events, chrome_trace_bytes
 
-            top = _int_query(request, "top", 20)
-            chart = SyntheticNoiseChart(analysis)
-            body = (
-                f"{len(chart.interruptions)} interruptions\n"
-                "largest interruptions:\n"
-                + format_interruptions(
-                    chart.largest(top), limit=top,
-                    t_origin=analysis.start_ts,
-                )
+        return (chrome_trace_bytes(analysis_chrome_events(analysis, meta)),
+                "application/json")
+    if kind == "report":
+        from repro.core.report import full_report
+
+        text = full_report(analysis, meta=meta)
+    elif kind == "chart":
+        from repro.core import SyntheticNoiseChart
+        from repro.core.report import format_interruptions
+
+        chart = SyntheticNoiseChart(analysis)
+        text = (
+            f"{len(chart.interruptions)} interruptions\n"
+            "largest interruptions:\n"
+            + format_interruptions(
+                chart.largest(param), limit=param,
+                t_origin=analysis.start_ts,
             )
-            return Response.text(body + "\n")
-        if kind == "timeline":
-            from repro.core.report import render_ascii_trace
-
-            width = _int_query(request, "width", 100)
-            table = analysis.table
-            activities = table.rows(table.data["is_noise"])
-            body = render_ascii_trace(
-                activities, analysis.start_ts, analysis.end_ts,
-                analysis.ncpus, width=width,
-            )
-            return Response.text(body + "\n")
-        # kind == "chrome"
-        import os
-        import tempfile
-
-        from repro.core.timeline import TaskTimeline
-        from repro.io import export_chrome_trace
-
-        timeline = TaskTimeline(
-            analysis.records, meta=meta, end_ts=analysis.end_ts
         )
-        fd, path = tempfile.mkstemp(suffix=".json")
-        try:
-            os.close(fd)
-            export_chrome_trace(
-                path, analysis.table, meta,
-                timeline=timeline, ncpus=analysis.ncpus,
-            )
-            with open(path, "rb") as fh:
-                body_bytes = fh.read()
-        finally:
-            os.unlink(path)
-        return Response(
-            200, body_bytes, content_type="application/json",
-            headers={
-                "Content-Disposition":
-                    f'attachment; filename="{job.id[:12]}.chrome.json"'
-            },
+    else:  # kind == "timeline"
+        from repro.core.report import render_ascii_trace
+
+        table = analysis.table
+        text = render_ascii_trace(
+            table.rows(table.data["is_noise"]), analysis.start_ts,
+            analysis.end_ts, analysis.ncpus, width=param,
         )
+    return (text + "\n").encode("utf-8"), "text/plain; charset=utf-8"
 
 
 async def run_server(

@@ -8,7 +8,8 @@ from repro.core import NoiseAnalysis, TraceMeta
 from repro.core.timeline import TaskTimeline
 from repro.io.chrometrace import (
     activities_to_events,
-    export_chrome_trace,
+    chrome_trace_bytes,
+    chrome_trace_events,
     read_chrome_trace,
     timeline_to_events,
 )
@@ -16,6 +17,14 @@ from repro.simkernel.task import TaskState
 from repro.tracing.events import Ev
 from repro.util.units import SEC
 from recbuild import RANK, RecordBuilder, meta
+
+
+def write_trace(path, activities, m, **kwargs):
+    """Write one exported trace to ``path``; the number of events."""
+    events = chrome_trace_events(activities, m, **kwargs)
+    with open(path, "wb") as fp:
+        fp.write(chrome_trace_bytes(events))
+    return len(events)
 
 
 @pytest.fixture
@@ -63,7 +72,7 @@ class TestTimelineEvents:
 class TestExport:
     def test_file_loads_as_valid_json(self, tmp_path, an):
         path = str(tmp_path / "trace.json")
-        n = export_chrome_trace(path, an.activities, meta(), ncpus=2)
+        n = write_trace(path, an.activities, meta(), ncpus=2)
         events = read_chrome_trace(path)
         assert len(events) == n
         # Metadata names every CPU process.
@@ -80,7 +89,7 @@ class TestExport:
         )
         timeline = TaskTimeline(records, meta=meta(), end_ts=SEC)
         path = str(tmp_path / "trace.json")
-        export_chrome_trace(path, an.activities, meta(), timeline=timeline)
+        write_trace(path, an.activities, meta(), timeline=timeline)
         events = read_chrome_trace(path)
         thread_names = [
             e for e in events if e.get("ph") == "M" and e["name"] == "thread_name"
@@ -97,7 +106,7 @@ class TestExport:
     def test_real_run_exports(self, tmp_path, ftq_analysis, ftq_run):
         node, trace, m = ftq_run
         path = str(tmp_path / "ftq.json")
-        n = export_chrome_trace(
+        n = write_trace(
             path, ftq_analysis.activities, m, ncpus=node.config.ncpus
         )
         assert n > len(ftq_analysis.activities)

@@ -132,6 +132,40 @@ class TestRegistry:
         parent.merge_snapshot(snap)
         assert parent.spans[0].pid == 99999
 
+    def test_span_ring_keeps_recent_records_and_exact_totals(self, tmp_path):
+        """With a span cap the buffer holds the newest records only; the
+        per-name rollup counts every span, through merge, Prometheus,
+        the aggregate and a JSON-lines round trip."""
+        from repro.obs.export import prometheus_text, read_jsonl, write_jsonl
+
+        worker = MetricsRegistry(enabled=True)
+        worker.keep_recent_spans(2)
+        for i in range(5):
+            with obs.span("run", registry=worker, seed=i):
+                pass
+        assert [s.labels["seed"] for s in worker.spans] == [3, 4]
+        assert worker.span_rollup["run"]["count"] == 5
+        parent = MetricsRegistry(enabled=True)
+        parent.keep_recent_spans(3)
+        with obs.span("run", registry=parent):
+            pass
+        parent.merge_snapshot(json.loads(json.dumps(worker.snapshot())))
+        assert len(parent.spans) == 3
+        snap = parent.snapshot()
+        assert snap["span_rollup"]["run"]["count"] == 6
+        assert 'lttng_noise_span_count{name="run"} 6' in \
+            prometheus_text(parent.snapshot(spans=False)).splitlines()
+        assert obs.aggregate(snap)["spans"]["run"]["count"] == 6
+        path = str(tmp_path / "capture.jsonl")
+        write_jsonl(path, snap)
+        assert obs.aggregate(read_jsonl(path))["spans"]["run"]["count"] == 6
+        parent.reset()
+        assert parent.span_rollup == {} and len(parent.spans) == 0
+        for _ in range(4):
+            with obs.span("again", registry=parent):
+                pass
+        assert len(parent.spans) == 3  # the cap outlives reset()
+
 
 # ----------------------------------------------------------------------
 # No-op mode
@@ -775,26 +809,28 @@ class TestSamplerOverhead:
         """A 1s FTQ pipeline with obs enabled plus the 100 ms sampler
         must cost within 2% of the same pipeline without the sampler."""
 
-        def best_of(n):
-            best = float("inf")
-            for _ in range(n):
-                t0 = time.perf_counter()
-                _pipeline_once()
-                best = min(best, time.perf_counter() - t0)
-            return best
+        def timed():
+            t0 = time.perf_counter()
+            _pipeline_once()
+            return time.perf_counter() - t0
 
         obs.enable()
         _pipeline_once()  # warm imports and caches for both arms
-        plain = best_of(5)
+        # Interleave the arms, one plain run then one sampled run per
+        # round, so host speed drifting over the test hits both alike.
+        plain = sampled = float("inf")
+        appended = 0
+        for _ in range(5):
+            plain = min(plain, timed())
+            sampler = obs.Sampler(period_s=0.1)
+            sampler.start()
+            try:
+                sampled = min(sampled, timed())
+            finally:
+                sampler.stop()
+            appended += sampler.ring.appended
 
-        sampler = obs.Sampler(period_s=0.1)
-        sampler.start()
-        try:
-            sampled = best_of(5)
-        finally:
-            sampler.stop()
-
-        assert sampler.ring.appended >= 2  # it really ran
+        assert appended >= 2 * 5  # it really ran
         # 2% plus a 2ms grace against scheduler jitter on tiny baselines.
         assert sampled <= plain * 1.02 + 0.002, (
             f"sampler overhead too high: sampled {sampled:.4f}s"

@@ -8,16 +8,20 @@ server on a background thread and tests talk to it with the stdlib
 Covers: the submit → poll → result happy path; duplicate-spec dedup
 under concurrent clients; bit-identical parity between service renders
 and the batch CLI; streaming trace-upload parity with batch analysis;
-400/404/405/409/413 error paths; Prometheus ``/metrics`` exposition; and
-graceful drain (no queued or running jobs survive shutdown, including
-over a real SIGTERM against a ``lttng-noise serve`` subprocess).
+400/404/405/409/413 error paths; Prometheus ``/metrics`` exposition;
+the response memo (byte-identical bodies, single flight, byte budget,
+no memoized errors) and the bounded span buffer; and graceful drain (no
+queued or running jobs survive shutdown, including over a real SIGTERM
+against a ``lttng-noise serve`` subprocess).
 """
 
 from __future__ import annotations
 
 import asyncio
+import http.client
 import json
 import threading
+import time
 
 import pytest
 
@@ -40,8 +44,9 @@ def spec(seed=0, **kw):
 class ServerHandle:
     """One service instance on a background thread, plus its innards."""
 
-    def __init__(self, port, table, server, stop, loop, thread):
+    def __init__(self, port, app, table, server, stop, loop, thread):
         self.port = port
+        self.app = app
         self.table = table
         self.server = server
         self._stop = stop
@@ -50,6 +55,16 @@ class ServerHandle:
 
     def client(self, timeout_s=30.0) -> ServiceClient:
         return ServiceClient("127.0.0.1", self.port, timeout_s=timeout_s)
+
+    def get_raw(self, path):
+        """``(status, body bytes)`` of one GET, undecoded."""
+        conn = http.client.HTTPConnection("127.0.0.1", self.port, timeout=30)
+        try:
+            conn.request("GET", path)
+            response = conn.getresponse()
+            return response.status, response.read()
+        finally:
+            conn.close()
 
     def shutdown(self) -> None:
         """Trigger the drain path and wait for the server thread."""
@@ -77,7 +92,7 @@ def start_server(store_root, max_concurrency=4, max_body_bytes=None,
         app = ServiceApp(table)
         server = HttpServer(app.handle, port=0, **kwargs)
         await server.start()
-        box.update(port=server.port, table=table, server=server,
+        box.update(port=server.port, app=app, table=table, server=server,
                    stop=stop, loop=loop)
         ready.set()
         await stop.wait()
@@ -89,8 +104,8 @@ def start_server(store_root, max_concurrency=4, max_body_bytes=None,
                               daemon=True)
     thread.start()
     assert ready.wait(timeout=30), "server did not start"
-    return ServerHandle(box["port"], box["table"], box["server"],
-                        box["stop"], box["loop"], thread)
+    return ServerHandle(box["port"], box["app"], box["table"],
+                        box["server"], box["stop"], box["loop"], thread)
 
 
 @pytest.fixture()
@@ -391,6 +406,22 @@ class TestErrorPaths:
             obs.disable()
             obs.reset()
 
+    def test_timeline_wider_than_the_limit_is_400(self, server):
+        """The width sizes the render's memory, so the cap is checked
+        before any render or memo work."""
+        from repro.service.handlers import MAX_TIMELINE_WIDTH
+
+        with server.client() as client:
+            job = client.submit(spec())["job"]
+            client.wait(job["id"])
+        status, body = server.get_raw(
+            f"/v1/jobs/{job['id']}/render/timeline"
+            f"?width={MAX_TIMELINE_WIDTH + 1}"
+        )
+        assert status == 400
+        assert b"must be <= 10000" in body
+        assert server.app.memo.stats()["misses"] == 0
+
     def test_upload_jobs_serve_only_the_analyze_render(self, server):
         s = spec()
         trace, _meta = s.execute()
@@ -428,6 +459,208 @@ class TestMetrics:
         assert "lttng_noise_service_request_ms_bucket" in names
         assert "lttng_noise_service_request_ms_count" in names
         assert "lttng_noise_service_request_ms_sum" in names
+
+
+    def test_span_buffer_is_bounded_and_span_counts_stay_exact(self,
+                                                                server):
+        """A long-lived server keeps only recent span records, while the
+        per-name totals that ``/metrics`` exposes count every request."""
+        n, cap = 40, 8
+        obs.REGISTRY.keep_recent_spans(cap)
+        try:
+            obs.reset()
+            with server.client() as client:
+                for _ in range(n):
+                    client.healthz()
+                text = client.metrics()
+            assert len(obs.REGISTRY.spans) <= cap
+            assert obs.REGISTRY.span_rollup["service.request"]["count"] \
+                == n + 1  # the scrape's own span closed after its body
+            assert f'lttng_noise_span_count{{name="service.request"}} {n}' \
+                in text.splitlines()
+        finally:
+            obs.REGISTRY.keep_recent_spans(None)
+
+
+# ----------------------------------------------------------------------
+# Response memo
+# ----------------------------------------------------------------------
+
+def _batch_bodies(s, tmp_path, capsys):
+    """What the batch CLI writes for spec ``s``'s run, per memo key."""
+    from repro.cli import main
+
+    trace, meta = s.execute()
+    base = str(tmp_path / f"batch-{s.seed}")
+    trace.to_file(base + ".lttnz")
+    meta.to_file(base + ".meta.json")
+    path = base + ".lttnz"
+    out = {}
+    for key, argv in (
+        (("report", None), ["report", path]),
+        (("chart", 5), ["chart", path, "--top", "5"]),
+        (("chart", 20), ["chart", path, "--top", "20"]),
+        (("timeline", 40), ["timeline", path, "--width", "40"]),
+    ):
+        capsys.readouterr()
+        assert main(argv) == 0
+        out[key] = capsys.readouterr().out.encode("utf-8")
+    # ``lttng-noise report`` ends with a "records: N, span S, C cpus"
+    # footer after a blank line; the render is the report alone.
+    body, footer = out[("report", None)].rsplit(b"\n\n", 1)
+    assert footer.startswith(b"records: ")
+    out[("report", None)] = body + b"\n"
+    assert main(["export", path, "--chrome", base + ".json"]) == 0
+    with open(base + ".json", "rb") as fp:
+        out[("chrome", None)] = fp.read()
+    return out
+
+
+def _render_path(job_id, kind, param):
+    query = {"chart": "top", "timeline": "width"}.get(kind)
+    suffix = f"?{query}={param}" if param is not None else ""
+    return f"/v1/jobs/{job_id}/render/{kind}{suffix}"
+
+
+class TestResponseMemo:
+    def test_first_and_memoized_bodies_match_the_batch_cli(
+            self, server, tmp_path, capsys):
+        s = spec(seed=2)
+        expected = _batch_bodies(s, tmp_path, capsys)
+        with server.client() as client:
+            job_id = client.submit(s)["job"]["id"]
+            client.wait(job_id)
+        for round_no in (1, 2):
+            for (kind, param), want in expected.items():
+                status, body = server.get_raw(
+                    _render_path(job_id, kind, param))
+                assert status == 200, (kind, param, body[:200])
+                assert body == want, (round_no, kind, param)
+        stats = server.app.memo.stats()
+        assert stats["misses"] == len(expected)  # one entry per key
+        assert stats["hits"] == len(expected)
+        assert stats["entries"] == len(expected)
+        assert stats["bytes"] == sum(len(b) for b in expected.values())
+        # No ``top`` is the default ``top=20``: the same entry.
+        status, body = server.get_raw(f"/v1/jobs/{job_id}/render/chart")
+        assert body == expected[("chart", 20)]
+        assert server.app.memo.stats()["entries"] == len(expected)
+        with server.client() as client:
+            health = client.healthz()
+        assert health["render_memo"]["hits"] == len(expected) + 1
+
+    def test_result_body_is_identical_before_and_after_memoization(
+            self, server):
+        with server.client() as client:
+            job_id = client.submit(spec())["job"]["id"]
+            client.wait(job_id)
+        first = server.get_raw(f"/v1/jobs/{job_id}/result")
+        again = server.get_raw(f"/v1/jobs/{job_id}/result")
+        assert first[0] == again[0] == 200
+        assert again[1] == first[1]
+        assert server.app.memo.stats()["hits"] == 1
+        # Still the Response.json shape the handler built before.
+        decoded = json.loads(first[1])
+        assert first[1] == (json.dumps(decoded, indent=2, sort_keys=True)
+                            + "\n").encode("utf-8")
+
+    def test_evicted_store_entry_404_is_not_memoized(self, server):
+        """A miss after eviction is a 404 every time; a body memoized
+        before the eviction is still served."""
+        with server.client() as client:
+            kept = client.submit(spec(seed=1))["job"]["id"]
+            gone = client.submit(spec(seed=2))["job"]["id"]
+            client.wait(kept)
+            client.wait(gone)
+        status, before = server.get_raw(f"/v1/jobs/{kept}/render/report")
+        assert status == 200
+        server.table.store.clear()
+        for _ in range(2):
+            status, body = server.get_raw(f"/v1/jobs/{gone}/render/report")
+            assert status == 404 and b"evicted" in body
+        stats = server.app.memo.stats()
+        assert stats["entries"] == 1 and stats["misses"] == 3
+        assert server.get_raw(f"/v1/jobs/{kept}/render/report") \
+            == (200, before)
+
+    def test_concurrent_identical_misses_analyze_once(self, server):
+        with server.client() as client:
+            job_id = client.submit(spec(seed=6))["job"]["id"]
+            client.wait(job_id)
+        app = server.app
+        release = threading.Event()
+        render_body = app._render_body
+
+        def gated(*args):
+            assert release.wait(timeout=30)
+            return render_body(*args)
+
+        app._render_body = gated
+        analyses = obs.REGISTRY.span_rollup["analysis"]["count"]
+        bodies = []
+        threads = [
+            threading.Thread(target=lambda: bodies.append(server.get_raw(
+                f"/v1/jobs/{job_id}/render/report")))
+            for _ in range(2)
+        ]
+        for t in threads:
+            t.start()
+        # Both requests are in the server before the render may finish.
+        deadline = time.monotonic() + 30
+        while app.memo.stats()["hits"] + app.memo.stats()["misses"] < 2:
+            assert time.monotonic() < deadline, "requests never arrived"
+            time.sleep(0.01)
+        release.set()
+        for t in threads:
+            t.join(timeout=30)
+            assert not t.is_alive()
+        assert len(bodies) == 2 and bodies[0] == bodies[1]
+        assert bodies[0][0] == 200
+        assert app.memo.stats()["misses"] == 1
+        assert obs.REGISTRY.span_rollup["analysis"]["count"] == analyses + 1
+
+    def test_byte_budget_holds_over_more_jobs_than_fit(self, tmp_path):
+        from repro.core import NoiseAnalysis
+        from repro.core.report import full_report
+
+        specs = [spec(seed=seed) for seed in range(6)]
+        sizes = []
+        for s in specs:
+            trace, meta = s.execute()
+            text = full_report(NoiseAnalysis(trace, meta=meta), meta=meta)
+            sizes.append(len(text.encode("utf-8")) + 1)
+        budget = 4 * max(sizes)  # every report fits; all six do not
+        assert sum(sizes) > budget
+        obs.enable()
+        handle = start_server(str(tmp_path / "store"))
+        handle.app.memo.max_bytes = budget
+        try:
+            with handle.client() as client:
+                ids = [client.submit(s)["job"]["id"] for s in specs]
+                for job_id in ids:
+                    client.wait(job_id)
+            for job_id in ids:
+                status, _body = handle.get_raw(
+                    f"/v1/jobs/{job_id}/render/report")
+                assert status == 200
+                assert handle.app.memo.nbytes <= budget
+            stats = handle.app.memo.stats()
+            assert 4 <= stats["entries"] < len(ids)
+            # The newest entry stayed, the oldest was evicted.
+            handle.get_raw(f"/v1/jobs/{ids[-1]}/render/report")
+            assert handle.app.memo.stats()["hits"] == 1
+            handle.get_raw(f"/v1/jobs/{ids[0]}/render/report")
+            assert handle.app.memo.stats()["misses"] == len(ids) + 1
+            # A body over a quarter of the budget is served, not kept.
+            entries = handle.app.memo.stats()["entries"]
+            status, body = handle.get_raw(f"/v1/jobs/{ids[0]}/render/chrome")
+            assert status == 200 and len(body) > budget // 4
+            assert handle.app.memo.stats()["entries"] == entries
+            assert handle.app.memo.nbytes <= budget
+        finally:
+            handle.shutdown()
+            obs.disable()
+            obs.reset()
 
 
 # ----------------------------------------------------------------------
